@@ -16,6 +16,7 @@ from .errors import (
     RealnessError,
     SignatureMismatchError,
     SingularFunctionError,
+    VerificationError,
 )
 from .funcs import (
     FunctionSpec,
@@ -87,6 +88,7 @@ __all__ = [
     "Signature",
     "SignatureMismatchError",
     "SingularFunctionError",
+    "VerificationError",
     "SpectralBasis",
     "aberth_roots",
     "blade_name",

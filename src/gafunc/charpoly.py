@@ -1,14 +1,17 @@
 """Characteristic polynomial of a multivector.
 
-The Faddeev-LeVerrier-Souriau recursion runs entirely in exact rational
-arithmetic:
+With d = 2^ceil(n/2) and the power sums s_k = d <A^k>_0, the coefficients
+follow from Newton's identities,
 
-    A_(1) = A,   C_(k) = (d/k) <A_(k)>_0,   A_(k+1) = A (A_(k) - C_(k)),
+    C_(0) = -1,   C_(k) = (1/k) (s_k - sum_{i=1}^{k-1} C_(i) s_(k-i)),
 
-with d = 2^ceil(n/2).  The sign convention keeps the leading coefficient
-C_(0) = -1, so the trace is C_(1) = d <A>_0 and the determinant is -C_(d).
-The (d+1)-th iterate vanishes identically (Cayley-Hamilton), which
-:func:`char_poly` asserts.
+which is the Faddeev-LeVerrier-Souriau recursion with its products
+already done: the traces are read off the exact integer power tower of
+A = B/delta (:mod:`gafunc.tower`) as s_k = d <B^k>_0 / delta^k.  The sign
+convention keeps the leading coefficient C_(0) = -1, so the trace is
+C_(1) = d <A>_0 and the determinant is -C_(d).  Cayley-Hamilton,
+chi(A) = 0, is checked exactly on the same tower, else
+:class:`VerificationError`.
 """
 
 from __future__ import annotations
@@ -16,8 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ga import Multivector, mv_powers
+from .errors import VerificationError
+from .ga import Multivector
 from .poly import Poly
+from .tower import PowerTower, multivector_tower
 
 
 @dataclass(frozen=True)
@@ -43,16 +48,18 @@ class CharPolyResult:
         return -self.chi
 
 
-def char_poly(a: Multivector) -> CharPolyResult:
+def char_poly(a: Multivector, tower: PowerTower | None = None) -> CharPolyResult:
+    """chi of a rational multivector; ``tower`` is its power tower, if built."""
+    if tower is None:
+        tower = multivector_tower(a)
     d = a.sig.char_degree
+    delta = tower.delta
+    s = [None] + [Fraction(d * tower.vector(k)[0], delta**k) for k in range(1, d + 1)]
     cs = [Fraction(-1)]
-    ak = a
     for k in range(1, d + 1):
-        ck = Fraction(d, k) * ak.scalar_part()
-        cs.append(ck)
-        ak = a * (ak - Multivector.scalar(a.sig, ck))
-    assert ak.is_zero(), "FLS recursion did not terminate at zero"
-    # chi(x) = sum_k C_(d-k) x^k
+        cs.append((s[k] - sum(cs[i] * s[k - i] for i in range(1, k))) / k)
+    # chi(A) = sum_k C_(d-k) A^k; times delta^d it is a combination of B^k
+    tower.require_zero([cs[d - k] * delta ** (d - k) for k in range(d + 1)], "chi")
     chi = Poly.make([cs[d - k] for k in range(d + 1)])
     return CharPolyResult(chi, tuple(cs))
 
@@ -62,11 +69,9 @@ def determinant(a: Multivector) -> Fraction:
 
 
 def cayley_hamilton_check(a: Multivector) -> bool:
-    """Substitute A into chi via geometric powers; exact zero test."""
-    res = char_poly(a)
-    powers = mv_powers(a, res.degree)
-    acc = Multivector.zero(a.sig)
-    for k, c in enumerate(res.chi.coeffs):
-        if c != 0:
-            acc = acc + powers[k].scale(c)
-    return acc.is_zero()
+    """Whether chi(A) = 0 holds exactly, the test char_poly runs."""
+    try:
+        char_poly(a)
+    except VerificationError:
+        return False
+    return True

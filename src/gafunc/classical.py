@@ -21,11 +21,12 @@ import mpmath as mp
 
 from .funcs import FunctionSpec
 from .errors import SingularFunctionError
-from .ga import Multivector, mv_powers
+from .ga import Multivector
 from .mvfunc import substitute_powers
 from .poly import Poly, poly_mod
 from .roots import RootSet
 from .scalars import DEFAULT_DPS, working
+from .tower import multivector_tower
 
 
 @dataclass
@@ -141,5 +142,4 @@ def classical_function(
                 w = f.value(root.value, k)
                 if w != 0:
                     total = total + qk.scale(w)
-        powers = mv_powers(a, max(total.degree, 1))
-        return substitute_powers(total, powers)
+        return substitute_powers(total, multivector_tower(a))

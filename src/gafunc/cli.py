@@ -10,6 +10,7 @@ machine-readable JSON line on stderr.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 import mpmath as mp
@@ -40,7 +41,7 @@ EXIT_REALNESS = 5
 
 
 def _error(kind: str, detail: str, code: int) -> int:
-    sys.stderr.write(gio.canonical_json({"error": kind, "detail": detail}).strip() + "\n")
+    sys.stderr.write(json.dumps({"detail": detail, "error": kind}, sort_keys=True) + "\n")
     return code
 
 
@@ -57,6 +58,13 @@ def _parse_signature(text: str) -> Signature:
         return Signature(p, q)
     except (ValueError, TypeError) as exc:
         raise ParseError(f"bad signature {text!r}: {exc}") from None
+
+
+def _function_spec(name: str):
+    try:
+        return builtin(name)
+    except ValueError as exc:
+        raise ParseError(f"bad function {name!r}: {exc}") from None
 
 
 def _emit(args, payload_text: str, payload_record: dict):
@@ -120,7 +128,7 @@ def _run(args) -> int:
     if args.command == "matfunc":
         rows = gio.parse_matrix(text)
         m = ExactMatrix.from_rows(rows)
-        spec = builtin(args.function)
+        spec = _function_spec(args.function)
         res = matrix_function(m, spec, args.precision)
         shown = res.real_form if res.real_form is not None else res.value
         with working(args.precision):
@@ -212,7 +220,7 @@ def _run(args) -> int:
         return EXIT_OK
 
     if args.command == "func":
-        spec = builtin(args.function)
+        spec = _function_spec(args.function)
         poly_source = (
             "charpoly"
             if (args.use_charpoly or args.method == "charpoly-substitution")

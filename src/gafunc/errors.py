@@ -46,3 +46,8 @@ class RealnessError(GafuncError):
         super().__init__(
             f"imaginary residual {residual} exceeds tolerance {tolerance}"
         )
+
+
+class VerificationError(GafuncError):
+    """An exact identity the computation relies on did not hold, e.g. the
+    minimal or characteristic polynomial failed to annihilate its element."""

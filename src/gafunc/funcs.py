@@ -28,9 +28,6 @@ class FunctionSpec:
         self.calls.append((lam, t))
         return self.weighted_derivative(lam, t)
 
-    def max_order_used(self) -> int:
-        return max((t for _, t in self.calls), default=0)
-
     def reset_instrumentation(self):
         self.calls.clear()
 
@@ -117,12 +114,6 @@ def inverse_spec() -> FunctionSpec:
     )
 
 
-def identity_spec() -> FunctionSpec:
-    return FunctionSpec(
-        "identity", lambda lam, t: lam if t == 0 else (1 if t == 1 else mp.mpc(0))
-    )
-
-
 def exp_times_arg_spec() -> FunctionSpec:
     """g(z) = z e^z, the t-derivative tower of the exponential defining
     property d/dt exp(t z) at t = 1."""
@@ -151,7 +142,3 @@ def builtin(name: str) -> FunctionSpec:
     except KeyError:
         raise ValueError(f"unknown function {name!r}") from None
 
-
-def taylor_coefficients(spec: FunctionSpec, center, count: int):
-    """Weighted derivatives w(center, t) for t = 0..count-1 (test support)."""
-    return [spec.value(center, t) for t in range(count)]

@@ -229,8 +229,7 @@ class Multivector:
         return self.coeffs[0]
 
     def coefficient_list(self) -> list:
-        """Coefficients in canonical blade order (the flattening used by
-        the minimal-polynomial null-space search)."""
+        """Coefficients in canonical blade order."""
         return list(self.coeffs)
 
     def is_zero(self) -> bool:

@@ -1,10 +1,12 @@
 """Square-matrix backend: the identical pipeline with the matrix product.
 
-Matrix powers are flattened row-major into vectors and fed through the same
-incremental null-space search as multivector powers; the spectral assembly
-then substitutes matrix powers for the dummy indeterminate.  Entries are
-exact rationals on the structural path; exact complex rationals are supported
-so the 2x2 spinor representation's complex minimal polynomial stays exact.
+A rational matrix M is written once as M = N/delta with N an integer matrix,
+and the powers N^0, N^1, ... form the same exact tower the multivector
+route uses (:mod:`gafunc.tower`): flattened row-major, they feed the same
+fraction-free eliminator for mu, and the spectral assembly substitutes them
+for the dummy indeterminate.  Entries are exact rationals on the structural
+path; exact complex rationals are supported (with delta = 1) so the 2x2
+spinor representation's complex minimal polynomial stays exact.
 
 Also hosts the fixed 8x8 real representation of Cl(4,2): six generator
 matrices satisfying the anticommutation relations with signature (4,2), and
@@ -22,12 +24,12 @@ import mpmath as mp
 from .errors import SignatureMismatchError
 from .funcs import FunctionSpec
 from .ga import Multivector, Signature, blade_order, _mask_indices
-from .minpoly import MinPolyResult, minimal_poly_generic
-from .mvfunc import _assemble, _realness_tolerance
-from .poly import Poly
+from .minpoly import MinPolyResult, tower_minimal_poly
+from .mvfunc import _Pipeline, _assemble, _realness_tolerance
 from .roots import extract_roots
-from .scalars import DEFAULT_DPS, to_mpc, working
+from .scalars import DEFAULT_DPS, working
 from .spectral import build_spectral_basis
+from .tower import PowerTower, clear_denominators
 
 
 @dataclass(frozen=True)
@@ -100,10 +102,20 @@ class ExactMatrix:
         return all(x == 0 for row in self.entries for x in row)
 
 
-def matrix_minimal_poly(m: ExactMatrix) -> MinPolyResult:
-    return minimal_poly_generic(
-        m, ExactMatrix.identity(m.dim), m.dim, lambda x: x.coefficient_list()
-    )
+def matrix_tower(m: ExactMatrix) -> PowerTower:
+    """The power tower of a matrix, denominators cleared."""
+    dim = m.dim
+    delta, ints = clear_denominators(m.coefficient_list())
+    n = ExactMatrix(tuple(tuple(ints[i * dim : (i + 1) * dim]) for i in range(dim)))
+    one = ExactMatrix(tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim)))
+    return PowerTower(n, one, delta, ExactMatrix.coefficient_list)
+
+
+def matrix_minimal_poly(m: ExactMatrix, tower: PowerTower | None = None) -> MinPolyResult:
+    """mu of a matrix; ``tower`` is its power tower, if built."""
+    if tower is None:
+        tower = matrix_tower(m)
+    return tower_minimal_poly(tower, m.dim)
 
 
 @dataclass
@@ -119,27 +131,18 @@ def matrix_function(
 ) -> MatrixFunctionResult:
     """f(M) by minimal polynomial, roots, spectral basis, and matrix powers."""
     with working(precision):
-        mu = matrix_minimal_poly(m).mu
+        tower = matrix_tower(m)
+        mu = matrix_minimal_poly(m, tower).mu
         roots = extract_roots(mu, precision)
         basis = build_spectral_basis(mu, roots, precision)
-        pipe = _MatrixPipeline(mu, roots, basis, m)
+        pipe = _Pipeline(mu, roots, basis, tower)
         f.reset_instrumentation()
         total = _assemble(pipe, f, precision)
-        powers = [ExactMatrix.identity(m.dim)]
-        for _ in range(max(total.degree, 0)):
-            powers.append(powers[-1] * m)
+        flat = tower.evaluate(total)
         dim = m.dim
-        value = [[mp.mpc(0) for _ in range(dim)] for _ in range(dim)]
-        for k, c in enumerate(total.coeffs):
-            if c == 0:
-                continue
-            ck = to_mpc(c)
-            pk = powers[k].entries
-            for i in range(dim):
-                for j in range(dim):
-                    value[i][j] += ck * to_mpc(pk[i][j])
-        residual = max(abs(mp.im(x)) for row in value for x in row)
-        magnitude = max(abs(mp.re(x)) for row in value for x in row)
+        value = [flat[i * dim : (i + 1) * dim] for i in range(dim)]
+        residual = max(abs(mp.im(x)) for x in flat)
+        magnitude = max(abs(mp.re(x)) for x in flat)
         real_form = None
         if residual < _realness_tolerance(precision) * (1 + magnitude):
             real_form = [[mp.re(x) for x in row] for row in value]
@@ -154,14 +157,6 @@ def matrix_function(
                 "derivative_orders": sorted({t for _, t in f.calls}),
             },
         )
-
-
-@dataclass
-class _MatrixPipeline:
-    mu: Poly
-    roots: object
-    basis: object
-    matrix: ExactMatrix
 
 
 # -- the fixed Cl(4,2) 8x8 real representation -----------------------------
@@ -250,13 +245,31 @@ def _cl42_blade_reps() -> tuple[ExactMatrix, ...]:
     return tuple(reps)
 
 
+@lru_cache(maxsize=1)
+def _cl42_blade_perms() -> tuple[tuple[tuple[int, bool], ...], ...]:
+    """Each blade matrix as a signed permutation: per row, the column of its
+    one nonzero entry and whether that entry is -1."""
+    perms = []
+    for rep in _cl42_blade_reps():
+        perm = []
+        for row in rep.entries:
+            nonzero = [(j, x) for j, x in enumerate(row) if x != 0]
+            if len(nonzero) != 1 or abs(nonzero[0][1]) != 1:
+                raise ValueError("Cl(4,2) blade matrix is not a signed permutation")
+            perm.append((nonzero[0][0], nonzero[0][1] < 0))
+        perms.append(tuple(perm))
+    return tuple(perms)
+
+
 def rep_of(a: Multivector) -> ExactMatrix:
     """8x8 real matrix of a Cl(4,2) multivector (linear extension over the
-    blade representations)."""
+    blade representations, each a signed permutation)."""
     if a.sig != CL42:
         raise SignatureMismatchError("rep_of requires signature (4,2)")
-    acc = ExactMatrix.zero(8)
-    for coeff, rep in zip(a.coeffs, _cl42_blade_reps()):
-        if coeff != 0:
-            acc = acc + rep.scale(coeff)
-    return acc
+    acc = [[Fraction(0)] * 8 for _ in range(8)]
+    for coeff, perm in zip(a.coeffs, _cl42_blade_perms()):
+        if coeff == 0:
+            continue
+        for row, (j, negative) in zip(acc, perm):
+            row[j] = row[j] - coeff if negative else row[j] + coeff
+    return ExactMatrix(tuple(tuple(row) for row in acc))

@@ -1,184 +1,80 @@
-"""Minimal polynomial via incremental exact null-space detection.
+"""Minimal polynomial from the element's exact integer power tower.
 
-Coefficient vectors of A^1, A^2, ... are fed into a row-reduced basis that
-tracks, for each inserted vector, the combination of earlier vectors it
-reduces to.  The first dependence yields the annihilating combination; since
-the power list starts at A^1, the combination spans powers x^1..x^k, or
-x^0..x^(k-1) when the list outgrew the characteristic degree (an invertible
-element whose minimal polynomial has full degree only becomes dependent one
-step late, through x*mu).  A final step strips any residual factor of x whose
-quotient still annihilates the element, so the result is the true
-minimum-degree monic annihilator (e.g. x - c for a scalar, not x^2 - c x).
+With A = B/delta (see :mod:`gafunc.tower`), the coefficient vectors of
+B^0, B^1, ... go into one fraction-free eliminator.  Since the list starts
+at B^0, the first dependence B^D = -sum_{k<D} c_k B^k is the minimal
+polynomial mu_B, and scaling back gives the monic
 
-The machinery is generic over any exact field (Fraction, exact complex
-rationals) and over anything with an associative product and a coefficient
-vector, which is how the matrix backend reuses it.
+    mu_A(x) = delta^-D mu_B(delta x).
+
+The result is checked exactly: mu_B(B) = 0 on the tower, else
+:class:`VerificationError`.
+
+The engine is generic over any exact commutative ring (rationals, exact
+complex rationals) and any element with an associative product and a
+coefficient vector, which is how the matrix backend reuses it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import VerificationError
 from .ga import Multivector
 from .poly import Poly
+from .tower import Eliminator, PowerTower, multivector_tower
 
 
 @dataclass(frozen=True)
 class MinPolyResult:
     mu: Poly  # monic
-    combination: tuple  # null-space vector over the inserted power list
+    combination: tuple  # c_0..c_D with sum_k c_k B^k = 0, B = delta A
 
     @property
     def degree(self) -> int:
         return self.mu.degree
 
 
-class _IncrementalBasis:
-    """Reduced spanning set with combination tracking.
-
-    ``insert`` returns None while vectors stay independent; on the first
-    dependence it returns the coefficients c with sum(c_j * v_j) = 0 over all
-    vectors inserted so far (including the current one, whose coefficient
-    is 1).
-    """
-
-    def __init__(self):
-        self.rows = []  # (pivot index, reduced vector, combination)
-        self.count = 0
-
-    def insert(self, vec):
-        v = list(vec)
-        combo = [0] * self.count + [1]
-        self.count += 1
-        for pivot, row, rcombo in self.rows:
-            f = v[pivot]
-            if f == 0:
-                continue
-            for i, ri in enumerate(row):
-                if ri != 0:
-                    v[i] = v[i] - f * ri
-            for i, ci in enumerate(rcombo):
-                if ci != 0:
-                    combo[i] = combo[i] - f * ci
-        pivot = next((i for i, x in enumerate(v) if x != 0), None)
-        if pivot is None:
-            return combo
-        inv = v[pivot]
-        v = [x / inv for x in v]
-        combo = [x / inv for x in combo]
-        combo += [0] * (self.count - len(combo))
-        self.rows.append((pivot, v, combo))
-        return None
+def _ratio(a, b):
+    if isinstance(a, int) and isinstance(b, int):
+        return Fraction(a, b)
+    return a / b
 
 
-def minimal_poly_generic(elem, one, char_degree: int, vectorize) -> MinPolyResult:
-    """Shared engine for multivectors and matrices.
-
-    ``elem`` must support ``*``; ``vectorize`` flattens an element to its
-    coefficient list; ``one`` is the multiplicative identity.  Termination is
-    guaranteed by Cayley-Hamilton at ``char_degree`` + 1 steps.
-    """
-    basis = _IncrementalBasis()
-    powers = [one]
-    combo = None
-    while combo is None:
-        powers.append(powers[-1] * elem)
-        combo = basis.insert(vectorize(powers[-1]))
-    k = len(combo)
-    if k <= char_degree:
-        candidate = Poly.make([0] + list(combo))  # powers x^1..x^k
-    else:
-        candidate = Poly.make(list(combo))  # powers x^0..x^(k-1)
-    # strip spurious factors of x left by the power list starting at A^1
-    while candidate.constant_term() == 0 and candidate.degree > 1:
-        lower = candidate.shift_down()
-        if _substitute_is_zero(lower, powers):
-            candidate = lower
-        else:
+def tower_minimal_poly(tower: PowerTower, max_degree: int) -> MinPolyResult:
+    """mu of the element behind ``tower``; ``max_degree`` bounds its degree
+    (Cayley-Hamilton), past which the search stops with an error."""
+    elim = Eliminator()
+    for k in range(max_degree + 1):
+        combo = elim.insert(tower.vector(k))
+        if combo is not None:
             break
-    mu = candidate.monic()
-    assert _substitute_is_zero(mu, powers), "minimal polynomial does not annihilate"
+    else:
+        raise VerificationError(f"no dependence among the first {max_degree + 1} powers")
+    tower.require_zero(combo, "minimal polynomial")
+    delta = tower.delta
+    lead = combo[-1] * delta ** (len(combo) - 1)
+    mu = Poly.make([_ratio(c * delta**k, lead) for k, c in enumerate(combo)])
     return MinPolyResult(mu, tuple(combo))
 
 
-def _substitute_is_zero(p: Poly, powers) -> bool:
-    acc = None
-    for k, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        term = powers[k].scale(c)
-        acc = term if acc is None else acc + term
-    return acc is None or acc.is_zero()
+def minimal_poly_generic(elem, one, char_degree: int, vectorize) -> MinPolyResult:
+    """mu of ``elem`` over its own exact ring, denominators left as they are.
+
+    ``elem`` must support ``*``; ``vectorize`` flattens an element to its
+    coefficient list; ``one`` is the multiplicative identity.
+    """
+    return tower_minimal_poly(PowerTower(elem, one, 1, vectorize), char_degree)
 
 
-def minimal_poly(a: Multivector) -> MinPolyResult:
-    return minimal_poly_generic(
-        a,
-        Multivector.one(a.sig),
-        a.sig.char_degree,
-        lambda m: m.coefficient_list(),
-    )
+def minimal_poly(a: Multivector, tower: PowerTower | None = None) -> MinPolyResult:
+    """mu of a rational multivector; ``tower`` is its power tower, if built."""
+    if tower is None:
+        tower = multivector_tower(a)
+    return tower_minimal_poly(tower, a.sig.char_degree)
 
 
 def mv_rank(a: Multivector) -> int:
     """Degree of the minimal polynomial."""
     return minimal_poly(a).degree
-
-
-# -- standalone exact kernel ----------------------------------------------
-
-
-def null_space(vectors) -> list[list[Fraction]]:
-    """Kernel basis of the matrix whose columns are the given vectors.
-
-    Exact, by fraction-free (Bareiss-style) integer elimination after
-    clearing denominators; returns [] when the columns are independent.
-    """
-    vectors = [list(v) for v in vectors]
-    if not vectors:
-        return []
-    ncols = len(vectors)
-    nrows = len(vectors[0])
-    if any(len(v) != nrows for v in vectors):
-        raise ValueError("vectors must share one length")
-    # rows of the coefficient matrix, cleared to integers
-    rows = []
-    for i in range(nrows):
-        row = [Fraction(vectors[j][i]) for j in range(ncols)]
-        den = math.lcm(*(c.denominator for c in row))
-        rows.append([int(c * den) for c in row])
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        sel = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, len(rows)):
-            if rows[i][c] == 0:
-                rows[i] = [piv * x // prev for x in rows[i]]
-                continue
-            rows[i] = [
-                (piv * rows[i][j] - rows[i][c] * rows[r][j]) // prev
-                for j in range(ncols)
-            ]
-        prev = piv
-        pivots.append((r, c))
-        r += 1
-        if r == len(rows):
-            break
-    pivot_cols = {c for _, c in pivots}
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        sol = [Fraction(0)] * ncols
-        sol[fc] = Fraction(1)
-        for r_i, c_i in reversed(pivots):
-            s = sum(Fraction(rows[r_i][j]) * sol[j] for j in range(c_i + 1, ncols))
-            sol[c_i] = -s / rows[r_i][c_i]
-        basis.append(sol)
-    return basis

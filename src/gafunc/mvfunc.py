@@ -1,21 +1,27 @@
 """Assembly of f(A) from the generalized spectral basis.
 
-The pipeline is: exact minimal polynomial, exact multiplicities and refined
-roots, spectral basis in the dummy indeterminate, then one polynomial
+The pipeline is: one exact integer power tower of A = B/delta
+(:mod:`gafunc.tower`), the minimal polynomial read off it, exact
+multiplicities and refined roots, the spectral basis in the dummy
+indeterminate, then one polynomial
 
     P(x) = sum_i sum_t w_f(lam_i, t) Q_i^t(x, lam_i)
 
-with w_f the weighted derivative (1/t!) f^(t), substituted x -> A through
-exact precomputed powers.  The weighted-derivative/Q^t pairing is the one the
-degree-8 worked example (multiplicity four) pins down; for multiplicity two
-it coincides with the other reading.
+with w_f the weighted derivative (1/t!) f^(t), substituted x -> A from the
+same tower: the coefficients of A^k = B^k / delta^k are rounded to working
+precision once per element and precision, then each call sums
+sum_k c_k A^k.  The weighted-derivative/Q^t pairing is the
+one the degree-8 worked example (multiplicity four) pins down; for
+multiplicity two it coincides with the other reading.
 
-A per-multivector cache keyed by the exact coefficients holds mu, roots,
-basis, and powers so repeated evaluations on one element reuse them.
+A small least-recently-used cache keyed by the exact coefficients holds the
+tower, mu, roots and basis, so repeated evaluations on one element reuse
+them.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import mpmath as mp
@@ -23,12 +29,13 @@ import mpmath as mp
 from .charpoly import char_poly
 from .errors import RealnessError, SingularFunctionError
 from .funcs import FunctionSpec, exp_times_arg_spec
-from .ga import Multivector, lift_complex, max_abs_coeff, mv_powers
+from .ga import Multivector, lift_complex, max_abs_coeff
 from .minpoly import minimal_poly
 from .poly import Poly
 from .roots import RootSet, extract_roots
 from .spectral import SpectralBasis, build_spectral_basis
 from .scalars import DEFAULT_DPS, working
+from .tower import PowerTower, multivector_tower
 
 
 @dataclass
@@ -44,10 +51,12 @@ class _Pipeline:
     mu: Poly
     roots: RootSet
     basis: SpectralBasis
-    powers: list  # exact powers A^0..A^(deg-1), lifted lazily
+    tower: PowerTower  # exact integer powers of B = delta A
 
 
-_cache: dict = {}
+# analysed elements kept, most recently used last
+_CACHE_SIZE = 8
+_cache: OrderedDict = OrderedDict()
 
 
 def clear_cache():
@@ -60,18 +69,21 @@ def get_pipeline(
     key = (a.sig, a.coeffs, precision, poly_source)
     hit = _cache.get(key)
     if hit is not None:
+        _cache.move_to_end(key)
         return hit
+    tower = multivector_tower(a)
     if poly_source == "minimal":
-        mu = minimal_poly(a).mu
+        mu = minimal_poly(a, tower).mu
     elif poly_source == "charpoly":
-        mu = char_poly(a).monic
+        mu = char_poly(a, tower).monic
     else:
         raise ValueError(f"unknown polynomial source {poly_source!r}")
     roots = extract_roots(mu, precision)
     basis = build_spectral_basis(mu, roots, precision)
-    powers = mv_powers(a, max(mu.degree - 1, 1))
-    pipe = _Pipeline(mu, roots, basis, powers)
+    pipe = _Pipeline(mu, roots, basis, tower)
     _cache[key] = pipe
+    if len(_cache) > _CACHE_SIZE:
+        _cache.popitem(last=False)
     return pipe
 
 
@@ -88,14 +100,9 @@ def _assemble(pipe: _Pipeline, f: FunctionSpec, precision: int) -> Poly:
     return total
 
 
-def substitute_powers(p: Poly, powers) -> Multivector:
-    """x -> A through a precomputed (exact) power list."""
-    sig = powers[0].sig
-    acc = Multivector(sig, (mp.mpc(0),) * sig.dim)
-    for k, c in enumerate(p.coeffs):
-        if c != 0:
-            acc = acc + lift_complex(powers[k]).scale(c)
-    return acc
+def substitute_powers(p: Poly, tower: PowerTower) -> Multivector:
+    """x -> A through the element's integer power tower."""
+    return Multivector(tower.base.sig, tuple(tower.evaluate(p)))
 
 
 def mv_function(
@@ -113,7 +120,7 @@ def mv_function(
         pipe = get_pipeline(a, precision, poly_source)
         f.reset_instrumentation()
         total = _assemble(pipe, f, precision)
-        value = substitute_powers(total, pipe.powers)
+        value = substitute_powers(total, pipe.tower)
         tol = _realness_tolerance(precision)
         real_form = None
         residual = _imag_residual(value)

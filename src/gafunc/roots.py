@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .errors import NonConvergenceError
+from .errors import NonConvergenceError, VerificationError
 from .poly import Poly, squarefree_decomposition, _integer_primitive
 from .scalars import DEFAULT_DPS, GUARD_DIGITS, to_mpc, working
 
@@ -103,7 +103,8 @@ def _rational_roots(factor: Poly) -> tuple[list[Fraction], Poly]:
         while factor.degree >= 1 and factor.eval_exact(cand) == 0:
             found.append(cand)
             factor, rem = _deflate(factor, cand)
-            assert rem == 0
+            if rem != 0:
+                raise VerificationError(f"deflation by the root {cand} left {rem}")
         if factor.degree == 1:
             found.append(-factor.coeff(0) / factor.coeff(1))
             return found, Poly.constant(factor.leading())

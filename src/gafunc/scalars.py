@@ -53,10 +53,6 @@ def to_mpc(x):
     return mp.mpc(x)
 
 
-def is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction, ComplexRational))
-
-
 @dataclass(frozen=True)
 class ComplexRational:
     """Exact complex number with rational real and imaginary parts."""

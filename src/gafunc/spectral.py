@@ -32,10 +32,11 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .ga import Multivector, lift_complex, max_abs_coeff, mv_powers
+from .ga import Multivector
 from .poly import Poly
 from .roots import RootSet
 from .scalars import DEFAULT_DPS, working
+from .tower import multivector_tower
 
 
 @dataclass(frozen=True)
@@ -56,11 +57,8 @@ class STable:
         """Substitute a numeric root for lam; a complex polynomial in x."""
         return Poly.make([p.eval_mpc(lam) for p in self.grid])
 
-    def as_bivariate(self) -> list[Poly]:
-        return list(self.grid)
 
-
-def build_s_table(mu: Poly, max_mult: int | None = None) -> STable:
+def build_s_table(mu: Poly) -> STable:
     """S^(0) for a monic annihilating polynomial ``mu``.
 
     The x-power range runs through deg(mu) - 1: the degree-8 worked case
@@ -145,15 +143,10 @@ def spectral_decomposition_check(
                 lam_plus_q = lam_plus_q + qs[1]
             recon1 = recon1 + lam_plus_q * qs[0]
             recon2 = recon2 + lam_plus_q * lam_plus_q * qs[0]
-        max_deg = max(recon1.degree, recon2.degree)
-        powers = [lift_complex(p) for p in mv_powers(a, max(max_deg, 2))]
-        target1 = powers[1]
-        target2 = powers[2]
+        tower = multivector_tower(a)
         dev = mp.mpf(0)
-        for recon, target in ((recon1, target1), (recon2, target2)):
-            acc = Multivector(a.sig, (mp.mpc(0),) * a.sig.dim)
-            for k, c in enumerate(recon.coeffs):
-                if c != 0:
-                    acc = acc + powers[k].scale(c)
-            dev = max(dev, max_abs_coeff(acc - target))
+        for recon, target in ((recon1, Poly.x_power(1)), (recon2, Poly.x_power(2))):
+            got = tower.evaluate(recon)
+            want = tower.evaluate(target)
+            dev = max(dev, max(abs(g - w) for g, w in zip(got, want)))
         return dev

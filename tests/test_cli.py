@@ -153,6 +153,27 @@ def test_parse_error_exit_code(capsys, monkeypatch):
     assert json.loads(err)["error"] == "parse"
 
 
+@pytest.mark.parametrize("function", ["tanh", "pow:abc"])
+@pytest.mark.parametrize(
+    "args,stdin",
+    [
+        (["func", "--signature", "3,0"], A_EX1_TEXT),
+        (["matfunc"], "1 0; 1 1"),
+    ],
+    ids=["func", "matfunc"],
+)
+def test_unknown_function_is_parse_error(capsys, monkeypatch, args, stdin, function):
+    code, out, err = run_cli(
+        capsys, monkeypatch, args + ["--function", function], stdin
+    )
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "parse"
+    assert function in json.loads(lines[0])["detail"]
+
+
 def test_empty_input_is_parse_error(capsys, monkeypatch):
     code, _, err = run_cli(capsys, monkeypatch, ["minpoly", "--signature", "3,0"], "")
     assert code == 2

@@ -4,8 +4,10 @@ import pytest
 
 from gafunc import Multivector, Signature, parse_mv
 from gafunc.charpoly import char_poly
-from gafunc.minpoly import minimal_poly, mv_rank, null_space
+from gafunc.errors import VerificationError
+from gafunc.minpoly import minimal_poly, mv_rank
 from gafunc.poly import Poly, poly_divmod
+from gafunc.tower import Eliminator, multivector_tower
 
 from conftest import SIG30
 
@@ -63,27 +65,69 @@ def test_spinor_degree_three(spinor):
     assert mv_rank(spinor) == 3
 
 
-def test_null_space_simple():
-    # columns (1,2), (2,4): kernel spanned by (-2, 1) normalized
-    basis = null_space([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
-    assert len(basis) == 1
-    v = basis[0]
-    assert v[0] * 2 == -v[1] * 1 or v[0] == -2 * v[1]
-    # independent columns: empty kernel
-    assert null_space([[1, 0], [0, 1]]) == []
+def test_eliminator_first_dependence():
+    elim = Eliminator()
+    assert elim.insert([1, 2, 0]) is None
+    assert elim.insert([0, 1, 1]) is None
+    # 2 (1, 2, 0) + 3 (0, 1, 1) = (2, 7, 3)
+    combo = elim.insert([2, 7, 3])
+    assert combo is not None and combo[-1] != 0
+    assert [Fraction(c, combo[-1]) for c in combo] == [-2, -3, 1]
 
 
-def test_null_space_rational_entries():
+def test_eliminator_rational_entries():
+    elim = Eliminator()
     vecs = [
         [Fraction(1, 2), Fraction(1, 3)],
         [Fraction(1, 4), Fraction(1, 6)],
-        [Fraction(3), Fraction(2)],
     ]
-    basis = null_space(vecs)
-    assert len(basis) == 2
-    for sol in basis:
-        for row in range(2):
-            assert sum(vecs[j][row] * sol[j] for j in range(3)) == 0
+    assert elim.insert(vecs[0]) is None
+    combo = elim.insert(vecs[1])
+    assert combo is not None
+    for col in range(2):
+        assert sum(c * v[col] for c, v in zip(combo, vecs)) == 0
+
+
+def test_eliminator_divides_out_content():
+    elim = Eliminator()
+    assert elim.insert([2, 0, 0]) is None
+    # 2 (4, 2, 0) - 4 (2, 0, 0) = (0, 4, 0), stored without its content 2
+    assert elim.insert([4, 2, 0]) is None
+    assert elim.rows[1][1:] == ([0, 2, 0], [-2, 1])
+    combo = elim.insert([0, 4, 0])
+    assert combo == [4, -2, 1]
+
+
+def test_combination_spans_tower_from_one(a_ex2):
+    # B = 8 A: the combination is mu_B = 8^8 mu_A(x / 8) up to a factor
+    res = minimal_poly(a_ex2)
+    combo = res.combination
+    assert len(combo) == res.degree + 1
+    for k, c in enumerate(combo):
+        assert Fraction(c, combo[-1]) == res.mu.coeffs[k] * 8 ** (res.degree - k)
+
+
+def test_corrupted_combination_is_a_typed_error(a_ex1):
+    tower = multivector_tower(a_ex1)
+    combo = list(minimal_poly(a_ex1, tower).combination)
+    tower.require_zero(combo, "mu")
+    combo[0] += 1
+    with pytest.raises(VerificationError):
+        tower.require_zero(combo, "mu")
+
+
+def test_corrupted_eliminator_is_caught(a_ex1, monkeypatch):
+    insert = Eliminator.insert
+
+    def corrupt(self, vec):
+        combo = insert(self, vec)
+        if combo is not None:
+            combo[0] += 1
+        return combo
+
+    monkeypatch.setattr(Eliminator, "insert", corrupt)
+    with pytest.raises(VerificationError):
+        minimal_poly(a_ex1)
 
 
 def test_annihilation_exact(a_ex1, corpus):

@@ -15,6 +15,7 @@ from gafunc.funcs import (
     sin_spec,
     sqrt_spec,
 )
+from gafunc import mvfunc
 from gafunc.ga import lift_complex
 from gafunc.mvfunc import (
     clear_cache,
@@ -164,6 +165,20 @@ def test_pipeline_cache_reused(a_ex1):
     assert p1 is p2
     p3 = get_pipeline(a_ex1, 30)
     assert p3 is not p1
+
+
+def test_pipeline_cache_is_bounded():
+    clear_cache()
+    for k in range(mvfunc._CACHE_SIZE + 5):
+        get_pipeline(Multivector.scalar(SIG30, Fraction(k + 1, 3)), 30)
+        assert len(mvfunc._cache) == min(k + 1, mvfunc._CACHE_SIZE)
+    # least recently used goes first: the oldest element is analysed again
+    first = Multivector.scalar(SIG30, Fraction(1, 3))
+    last = Multivector.scalar(SIG30, Fraction(mvfunc._CACHE_SIZE + 5, 3))
+    hit = get_pipeline(last, 30)
+    assert get_pipeline(last, 30) is hit
+    assert (SIG30, first.coeffs, 30, "minimal") not in mvfunc._cache
+    clear_cache()
 
 
 def test_higher_precision_request():
